@@ -28,11 +28,7 @@ fn retract_setup(m: usize) -> (Program, Database, Database, Vec<RulePlan>, Suppo
     let (model, _) = full
         .eval_traced(EvalOptions::default(), &mut table)
         .unwrap();
-    let plans: Vec<RulePlan> = post
-        .rules
-        .iter()
-        .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-        .collect();
+    let plans = post.compile_plans(Some(&model));
     (post, model, removed, plans, table)
 }
 
@@ -58,12 +54,13 @@ fn bench(c: &mut Criterion) {
     // final model while strictly skipping re-derivation probes.
     {
         let (post, model, removed, plans, table) = retract_setup(6);
+        let none = Database::new();
         let (plain_db, plain) = post
-            .eval_decremental_with(&plans, model.clone(), &removed)
+            .maintain(&plans, model.clone(), &removed, &none, None)
             .unwrap();
         let mut table = table;
         let (traced_db, traced) = post
-            .eval_decremental_traced(&plans, model, &removed, &mut table)
+            .maintain(&plans, model, &removed, &none, Some(&mut table))
             .unwrap();
         let (oracle, _) = post.eval().unwrap();
         assert_eq!(traced_db, plain_db);
@@ -101,18 +98,20 @@ fn bench(c: &mut Criterion) {
     for m in [6usize, 8, 10] {
         g.bench_with_input(BenchmarkId::new("dred_probe_only", m), &m, |b, &m| {
             let (post, model, removed, plans, _) = retract_setup(m);
+            let none = Database::new();
             b.iter_with_setup(
                 || model.clone(),
-                |model| black_box(post.eval_decremental_with(&plans, model, &removed).unwrap()),
+                |model| black_box(post.maintain(&plans, model, &removed, &none, None).unwrap()),
             )
         });
         g.bench_with_input(BenchmarkId::new("dred_supports", m), &m, |b, &m| {
             let (post, model, removed, plans, table) = retract_setup(m);
+            let none = Database::new();
             b.iter_with_setup(
                 || (model.clone(), table.clone()),
                 |(model, mut table)| {
                     black_box(
-                        post.eval_decremental_traced(&plans, model, &removed, &mut table)
+                        post.maintain(&plans, model, &removed, &none, Some(&mut table))
                             .unwrap(),
                     )
                 },

@@ -16,7 +16,7 @@ use epilog_core::{
     ModelUpdate,
 };
 use epilog_datalog::provenance::params_of;
-use epilog_datalog::{EvalOptions, PlannerMode, RulePlan, SupportTable, PAR_MIN_FANOUT_ROWS};
+use epilog_datalog::{EvalOptions, PlannerMode, SupportTable, PAR_MIN_FANOUT_ROWS};
 use epilog_prover::Prover;
 use epilog_semantics::{minimal_worlds, ModelSet};
 use epilog_storage::PAR_MIN_PROBE_OUTER;
@@ -959,16 +959,13 @@ fn main() {
             let (model, _) = full
                 .eval_traced(EvalOptions::default(), &mut table)
                 .unwrap();
-            let plans: Vec<RulePlan> = post
-                .rules
-                .iter()
-                .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-                .collect();
+            let plans = post.compile_plans(Some(&model));
+            let none = epilog_storage::Database::new();
             let (plain_db, plain) = post
-                .eval_decremental_with(&plans, model.clone(), &removed)
+                .maintain(&plans, model.clone(), &removed, &none, None)
                 .unwrap();
             let (traced_db, traced) = post
-                .eval_decremental_traced(&plans, model, &removed, &mut table)
+                .maintain(&plans, model, &removed, &none, Some(&mut table))
                 .unwrap();
             let (oracle, _) = post.eval().unwrap();
             check(

@@ -301,6 +301,40 @@ mod tests {
     }
 
     #[test]
+    fn sentences_at_the_nesting_limit_answer_on_a_small_stack() {
+        // The parser's nesting limit sits below the recursion budget of
+        // everything an accepted sentence flows through: on a 2 MiB
+        // thread (a server session's stack), sentences at the limit
+        // print, re-parse and answer.
+        let n = epilog_syntax::MAX_NESTING;
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let p = Prover::new(Theory::from_text("p(a)\nforall x. p(x) -> q(x)").unwrap());
+                // `n` negations of a known atom: known iff `n` is even.
+                let negated = if n.is_multiple_of(2) { "yes" } else { "no" };
+                for (src, expect) in [
+                    (format!("{}q(a)", "~".repeat(n)), negated),
+                    (format!("{}q(a)", "K ".repeat(n)), "yes"),
+                    (format!("{}q(a)", "K ~".repeat(n / 2)), "yes"),
+                    (vec!["q(a)"; n + 1].join(" & "), "yes"),
+                    (format!("{}q(a)", "q(b) | ".repeat(n)), "yes"),
+                    (format!("{}q(a)", "p(a) -> ".repeat(n)), "yes"),
+                    (
+                        format!("{}q(a){}", "(p(a) & ".repeat(n), ")".repeat(n)),
+                        "yes",
+                    ),
+                ] {
+                    let w = parse(&src).unwrap();
+                    assert_eq!(parse(&w.to_string()).unwrap(), w);
+                    assert_eq!(ask(&p, &w).to_string(), expect, "{src}");
+                }
+            })
+            .unwrap();
+        run.join().unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "sentence")]
     fn open_query_rejected_by_ask() {
         let p = teach();

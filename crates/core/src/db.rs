@@ -16,7 +16,7 @@ use epilog_prover::Prover;
 use epilog_semantics::Answer;
 use epilog_syntax::formula::Atom;
 use epilog_syntax::theory::TheoryError;
-use epilog_syntax::{Admissibility, Formula, Param, Theory};
+use epilog_syntax::{Admissibility, Formula, Param, Theory, MAX_NESTING};
 use std::fmt;
 
 /// The structured explanation of a constraint rejection: which constraint
@@ -86,6 +86,11 @@ pub enum DbError {
     NotAdmissible(Admissibility),
     /// A constraint must be a sentence.
     OpenConstraint(Formula),
+    /// A sentence of a transaction or a constraint nests deeper than
+    /// [`MAX_NESTING`], the deepest formula the parser reads back. Logs
+    /// and snapshots store sentences as text, so it is refused before it
+    /// could become a record that recovery cannot read.
+    TooDeep,
 }
 
 impl fmt::Display for DbError {
@@ -114,6 +119,7 @@ impl fmt::Display for DbError {
             DbError::OpenConstraint(ic) => {
                 write!(f, "constraint `{ic}` has free variables")
             }
+            DbError::TooDeep => write!(f, "sentence nested deeper than {MAX_NESTING}"),
         }
     }
 }
@@ -210,12 +216,7 @@ impl EpistemicDb {
     pub(crate) fn compile_rule_plans(prover: &Prover) -> Option<Vec<epilog_datalog::RulePlan>> {
         let model = prover.atom_model()?;
         let prog = crate::engine::definite_program(prover.theory())?;
-        Some(
-            prog.rules
-                .iter()
-                .map(|r| epilog_datalog::RulePlan::compile_with_stats(r, Some(model)))
-                .collect(),
-        )
+        Some(prog.compile_plans(Some(model)))
     }
 
     /// Re-cost the cached rule plans when the attached least model has
@@ -408,6 +409,9 @@ impl EpistemicDb {
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
         }
+        if !ic.height_at_most(MAX_NESTING) {
+            return Err(DbError::TooDeep);
+        }
         if ic_satisfaction(&self.prover, &ic, IcDefinition::Epistemic) != IcReport::Satisfied {
             return Err(DbError::ConstraintViolated(Rejection::explain(
                 &ic,
@@ -430,6 +434,9 @@ impl EpistemicDb {
     pub fn adopt_constraint(&mut self, ic: Formula) -> Result<(), DbError> {
         if !ic.is_sentence() {
             return Err(DbError::OpenConstraint(ic));
+        }
+        if !ic.height_at_most(MAX_NESTING) {
+            return Err(DbError::TooDeep);
         }
         debug_assert!(
             ic_satisfaction(&self.prover, &ic, IcDefinition::Epistemic) == IcReport::Satisfied,

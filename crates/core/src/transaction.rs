@@ -15,14 +15,12 @@
 //!   the prover at all.
 //! * **Model maintenance**: when the theory is definite and the commit
 //!   only touches ground atoms, the attached least model is *not*
-//!   rebuilt. Assertions seed the semi-naive delta
-//!   (`DeltaDatabase::resume`) and the fixpoint continues with
-//!   delta-variant plans only (`Program::eval_incremental`); retractions
-//!   run the over-delete/re-derive (DRed) fixpoint first
-//!   (`Program::eval_decremental`), and a mixed batch chains the two —
-//!   both over the plan cache, so no full plan runs and nothing is
-//!   compiled. The result is spliced into the prover through
-//!   [`Prover::updated`].
+//!   rebuilt. `Program::maintain` runs the over-delete/re-derive (DRed)
+//!   fixpoint over the retractions, then seeds the semi-naive delta with
+//!   the assertions (`DeltaDatabase::resume`) and continues with
+//!   delta-variant plans only — over the plan cache, so no full plan
+//!   runs and nothing is compiled. The result is spliced into the
+//!   prover through [`Prover::updated`].
 //! * **Constraint checking** routes through the compiled
 //!   [`IncrementalChecker`](crate::incremental::IncrementalChecker):
 //!   constraints untouched by the commit are skipped, touched ones are
@@ -44,7 +42,7 @@ use epilog_datalog::{EvalStats, SupportTable};
 use epilog_prover::Prover;
 use epilog_storage::Database;
 use epilog_syntax::theory::TheoryError;
-use epilog_syntax::{is_first_order, Formula};
+use epilog_syntax::{is_first_order, Formula, MAX_NESTING};
 use std::fmt;
 
 /// One batched update operation.
@@ -197,8 +195,9 @@ impl<'db> Transaction<'db> {
 
     /// Validate the batch and apply it atomically.
     ///
-    /// Every queued formula must be a first-order sentence
-    /// ([`DbError::Theory`] otherwise) and the updated state must satisfy
+    /// Every asserted formula must be a first-order sentence
+    /// ([`DbError::Theory`] otherwise) nested no deeper than
+    /// [`MAX_NESTING`] ([`DbError::TooDeep`]), and the updated state must satisfy
     /// every registered constraint ([`DbError::ConstraintViolated`]
     /// otherwise — naming the first violated constraint). On any error
     /// the database is left exactly as it was.
@@ -234,6 +233,9 @@ impl<'db> Transaction<'db> {
             }
             if !w.is_sentence() {
                 return Err(TheoryError::NotSentence(w.to_string()).into());
+            }
+            if !w.height_at_most(MAX_NESTING) {
+                return Err(DbError::TooDeep);
             }
         }
         let current = db.prover.theory();
@@ -288,10 +290,10 @@ impl<'db> Transaction<'db> {
         }
 
         // Phase 3 — maintain the least model. A commit that touches only
-        // ground atoms of a definite theory never rebuilds: retractions
-        // run the over-delete/re-derive fixpoint, assertions resume the
-        // semi-naive fixpoint, a mixed batch chains the two. Everything
-        // else rebuilds.
+        // ground atoms of a definite theory never rebuilds: one
+        // `Program::maintain` call runs the over-delete/re-derive
+        // fixpoint over the retractions and resumes the semi-naive
+        // fixpoint over the assertions. Everything else rebuilds.
         let is_ground_atom = |w: &Formula| matches!(w, Formula::Atom(a) if a.is_ground());
         let facts_only = added.iter().all(is_ground_atom) && removed.iter().all(is_ground_atom);
         // The exact model-level delta of a facts-only commit's removals
@@ -309,87 +311,37 @@ impl<'db> Transaction<'db> {
         let tracing = db.support_table.is_some();
         let (candidate, model_update): (Prover, ModelUpdate) = 'prover: {
             if facts_only {
-                if let (Some(old_model), Some(prog)) =
-                    (db.prover.atom_model(), definite_program(&theory))
-                {
-                    let mut new_facts = Database::new();
-                    let mut removed_facts = Database::new();
-                    for w in &added {
-                        if let Formula::Atom(a) = w {
-                            new_facts.insert(a);
-                        }
-                    }
-                    for w in &removed {
-                        if let Formula::Atom(a) = w {
-                            removed_facts.insert(a);
-                        }
-                    }
-                    // A facts-only commit leaves the rule set untouched,
-                    // so the plans cached on the db are exactly the
-                    // candidate program's plans — neither fixpoint
-                    // compiles anything (`stats.plans_compiled == 0`).
-                    // The compiling fallbacks only cover a db whose cache
-                    // is unexpectedly cold.
-                    //
-                    // With provenance on, the traced fixpoints maintain a
-                    // clone of the support table in the same pass: DRed
-                    // consumes recorded supports (skipping re-derivation
-                    // probes where an alternative support survives) and
-                    // purges the net-removed atoms, the growth fixpoint
-                    // appends supports for its insertions.
-                    let mut traced_table = (tracing && db.rule_plans.is_some())
-                        .then(|| db.support_table.clone().expect("tracing implies a table"));
-                    let shrunk = if removed_facts.is_empty() {
-                        Ok((old_model.clone(), EvalStats::default()))
-                    } else {
-                        match (&db.rule_plans, traced_table.as_mut()) {
-                            (Some(plans), Some(table)) => prog.eval_decremental_traced(
-                                plans,
-                                old_model.clone(),
-                                &removed_facts,
-                                table,
-                            ),
-                            (Some(plans), None) => {
-                                prog.eval_decremental_with(plans, old_model.clone(), &removed_facts)
+                // A facts-only commit changes neither the rule set nor
+                // definiteness, so the plans cached on the db are exactly
+                // the candidate program's plans (`Some` whenever a least
+                // model is attached): the fixpoint compiles nothing
+                // (`stats.plans_compiled == 0`). With provenance on, it
+                // maintains a clone of the support table in the same
+                // pass.
+                if let (Some(old_model), Some(plans), Some(prog)) = (
+                    db.prover.atom_model(),
+                    db.rule_plans.as_deref(),
+                    definite_program(&theory),
+                ) {
+                    let facts = |ws: &[Formula]| {
+                        let mut d = Database::new();
+                        for w in ws {
+                            if let Formula::Atom(a) = w {
+                                d.insert(a);
                             }
-                            (None, _) => prog.eval_decremental(old_model.clone(), &removed_facts),
                         }
+                        d
                     };
-                    let maintained = shrunk.and_then(|(model, mut stats)| {
-                        if new_facts.is_empty() {
-                            return Ok((model, stats));
-                        }
-                        let resumed = match (&db.rule_plans, traced_table.as_mut()) {
-                            (Some(plans), Some(table)) => {
-                                prog.eval_incremental_traced(plans, model, &new_facts, table)
-                            }
-                            (Some(plans), None) => {
-                                prog.eval_incremental_with(plans, model, &new_facts)
-                            }
-                            (None, _) => prog.eval_incremental(model, &new_facts),
-                        };
-                        resumed.map(|(model, grown)| {
-                            stats.absorb(&grown);
-                            (model, stats)
-                        })
-                    });
-                    if let Ok((model, stats)) = maintained {
-                        if tracing {
-                            support_update = Some(match traced_table {
-                                Some(table) => Some(table),
-                                // Cold plan cache: the untraced fallback
-                                // ran, so re-record from scratch.
-                                None => {
-                                    let mut table = SupportTable::new();
-                                    prog.eval_traced(
-                                        epilog_datalog::EvalOptions::default(),
-                                        &mut table,
-                                    )
-                                    .ok()
-                                    .map(|_| table)
-                                }
-                            });
-                        }
+                    let removed_facts = facts(&removed);
+                    let mut table = db.support_table.clone();
+                    if let Ok((model, stats)) = prog.maintain(
+                        plans,
+                        old_model.clone(),
+                        &removed_facts,
+                        &facts(&added),
+                        table.as_mut(),
+                    ) {
+                        support_update = tracing.then_some(table);
                         // `gone` is the exact model diff: everything the
                         // deletion fixpoint removed and the insertion
                         // fixpoint did not re-add.
@@ -911,6 +863,30 @@ mod tests {
             .commit()
             .unwrap_err();
         assert!(matches!(err, DbError::Theory(_)));
+    }
+
+    #[test]
+    fn sentences_deeper_than_the_parser_reads_are_refused() {
+        // Logs and snapshots store sentences as text: a sentence the
+        // parser would refuse to read back must not be committed.
+        let mut d = db("p(a)");
+        let chain = |n: usize| Formula::or_all(vec![f("q(a)"); n]).unwrap();
+        let err = d
+            .transaction()
+            .assert(f("q(b)"))
+            .assert(chain(MAX_NESTING + 2))
+            .commit()
+            .unwrap_err();
+        assert!(matches!(err, DbError::TooDeep));
+        assert_eq!(d.theory().len(), 1);
+        let _ = d
+            .transaction()
+            .assert(chain(MAX_NESTING + 1))
+            .commit()
+            .unwrap();
+        assert_eq!(d.theory().len(), 2);
+        let deep_ic = Formula::know(chain(MAX_NESTING + 1));
+        assert!(matches!(d.add_constraint(deep_ic), Err(DbError::TooDeep)));
     }
 
     #[test]

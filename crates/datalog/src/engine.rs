@@ -53,9 +53,8 @@ pub struct EvalStats {
     pub rule_firings: u64,
     /// The subset of [`EvalStats::rule_firings`] that executed a **full**
     /// (non-delta) plan: every naive firing, and round 1 of each
-    /// semi-naive stratum. A resumed fixpoint
-    /// ([`Program::eval_incremental`]) reports 0 here — it only ever runs
-    /// delta variants.
+    /// semi-naive stratum. Model maintenance ([`Program::maintain`])
+    /// reports 0 here — it only ever runs delta variants.
     pub full_firings: u64,
     /// Number of head atoms derived (including duplicates).
     pub derivations: u64,
@@ -82,30 +81,34 @@ pub struct EvalStats {
     /// entries probed. The deterministic work-done measure the F9 report
     /// table compares planners by.
     pub rows_examined: u64,
-    /// Rule plans compiled for this run. Zero on the cached-plan path
-    /// ([`Program::eval_incremental_with`]) — the `CommitReport` evidence
-    /// that ground-atom commits recompile nothing.
+    /// Rule plans compiled for this run. Zero under
+    /// [`Program::maintain`], which runs caller-supplied plans — the
+    /// `CommitReport` evidence that ground-atom commits recompile nothing.
     pub plans_compiled: u64,
-    /// DRed phase 1 ([`Program::eval_decremental_with`]): tuples the
+    /// DRed over-deletion ([`Program::maintain`]): tuples the
     /// over-deletion fixpoint removed from the model — the retracted
     /// facts themselves plus everything transitively derivable from them.
     pub tuples_overdeleted: u64,
-    /// DRed phase 3: over-deleted tuples put back because an alternative
-    /// derivation (or extensional membership) still supports them.
+    /// DRed re-derivation: over-deleted tuples put back because an
+    /// alternative derivation (or extensional membership) still supports
+    /// them.
     pub tuples_rederived: u64,
-    /// DRed phase 3: support queries executed — one per over-deleted
-    /// tuple per candidate rule head, until one succeeds. These run the
-    /// prebound `RulePlan::support` plan, never a full firing.
+    /// DRed re-derivation: support queries executed — one per
+    /// over-deleted tuple per candidate rule head, until one succeeds.
+    /// These run the prebound `RulePlan::support` plan, never a full
+    /// firing.
     pub support_checks: u64,
     /// Provenance: novel [`Support`](crate::provenance::Support) records
     /// a traced run retained after deduplication. Always 0 on the
     /// untraced entry points — the observable proof that tracking is off.
     pub supports_recorded: u64,
-    /// DRed phase 3 with a support table
-    /// ([`Program::eval_decremental_traced`]): over-deleted tuples whose
-    /// recorded alternative support had no over-deleted parent, seeding
-    /// re-derivation **without** running the support plan. Each hit is a
-    /// [`EvalStats::support_checks`] probe saved.
+    /// DRed re-derivation with a support table ([`Program::maintain`]
+    /// with `trace`): over-deleted tuples whose recorded alternative
+    /// support had no over-deleted parent, seeding re-derivation
+    /// **without** running the support plan. Each hit saves every
+    /// [`EvalStats::support_checks`] probe the untraced run makes for
+    /// that tuple: at least one, more when its first candidate rules
+    /// fail.
     pub support_hits: u64,
     /// Fixpoint rounds whose firing jobs ran on ≥ 2 worker threads
     /// (rule-variant fan-out or partitioned hash probes). Zero whenever
@@ -202,9 +205,8 @@ impl ParCtx {
         }
     }
 
-    /// The context of the incremental/decremental entry points, which
-    /// keep their historical signatures: default thresholds, thread
-    /// budget from the environment.
+    /// The context of [`Program::maintain`], which takes no options:
+    /// default thresholds, thread budget from the environment.
     fn auto() -> ParCtx {
         Self::from_opts(&EvalOptions::default())
     }
@@ -283,235 +285,152 @@ impl Program {
         Ok((db, stats))
     }
 
-    /// Resume the least-model fixpoint of a **definite** (negation-free)
-    /// program from a model already computed for a smaller fact set.
-    ///
-    /// `model` must be the least model of this program minus `new_facts`
-    /// (i.e. the state before the update), and `new_facts` the ground
-    /// atoms an update adds. The genuinely new facts are installed as the
-    /// semi-naive delta ([`DeltaDatabase::resume`]) and the fixpoint
-    /// continues with **delta-variant plans only** — no full round
-    /// re-derives the existing model, so the cost scales with the
-    /// consequences of the delta rather than the size of the theory. The
-    /// returned [`EvalStats`] covers only the resumed work
-    /// (`full_firings` is always 0 on this path).
-    ///
-    /// Programs with negated body literals cannot be resumed
-    /// monotonically — an addition may *retract* conclusions of a higher
-    /// stratum — so they fall back to a full [`Program::eval`].
-    pub fn eval_incremental(
-        &self,
-        model: Database,
-        new_facts: &Database,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            // Non-monotone: recompute from the enlarged EDB.
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            return prog.eval();
-        }
-        // Compile against the existing model: it covers the intensional
-        // relations too, so the cost estimates are exact.
-        let plans: Vec<RulePlan> = self
-            .rules
+    /// Compile one [`RulePlan`] per rule of this program, in rule order —
+    /// the plan set [`Program::maintain`] expects. `stats` supplies the
+    /// relation cardinalities the cost-based planner orders literals by
+    /// (a least model covers the intensional relations too); `None` is
+    /// the seed greedy planner.
+    pub fn compile_plans(&self, stats: Option<&Database>) -> Vec<RulePlan> {
+        self.rules
             .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let mut result = self.eval_incremental_with(&plans, model, new_facts)?;
-        result.1.plans_compiled += plans.len() as u64;
-        Ok(result)
+            .map(|r| RulePlan::compile_with_stats(r, stats))
+            .collect()
     }
 
-    /// [`Program::eval_incremental`] with **caller-supplied plans** — the
-    /// cross-commit plan-cache hook. `plans` must be the compiled plans
-    /// of exactly `self.rules`, in order (they depend only on the rule
-    /// shapes, so a cache owner invalidates them precisely when a commit
-    /// changes the rule set). Reports `plans_compiled == 0`: the whole
-    /// point of the cache is that ground-atom commits recompile nothing.
+    /// Maintain the least model of a **definite** program across one
+    /// update, without recomputing it from scratch — the commit-time
+    /// fixpoint.
     ///
-    /// Falls back to a full [`Program::eval`] (which does compile) when
-    /// the program has negated body literals, exactly like
-    /// [`Program::eval_incremental`].
+    /// `self` must be the **post-update** program (its EDB without
+    /// `removed`; whether it already holds `added` does not matter),
+    /// `model` the least model of the pre-update program, `removed` and
+    /// `added` the ground atoms the update retracts and asserts, and
+    /// `plans` the compiled plans of exactly `self.rules`, in order
+    /// ([`Program::compile_plans`]; they depend only on the rule shapes,
+    /// so a cache owner reuses them across fact-only updates). The result
+    /// is exactly the least model of `self` with `added`, reached in two
+    /// phases, each skipped when its fact set is empty:
+    ///
+    /// 1. **delete and re-derive** (DRed) over `removed`:
+    ///    * *over-delete*: starting from the removed facts still present
+    ///      in the model, run the delta variants against the *original*
+    ///      model to collect everything derivable from the deleted set —
+    ///      the standard over-approximation of the facts that may have
+    ///      lost their derivation;
+    ///    * *prune* the over-deleted set from the model
+    ///      ([`Database::remove_tuple`] maintains column indexes
+    ///      incrementally);
+    ///    * *re-derive seeds*: an over-deleted tuple survives if it is
+    ///      still extensional, or if some rule body re-derives it from the
+    ///      pruned model — answered per tuple by the prebound
+    ///      [`RulePlan::support`] plan (`support_checks`), never by a full
+    ///      firing;
+    ///    * *propagate* the surviving seeds with the semi-naive fixpoint;
+    /// 2. **grow** over `added`: the genuinely new facts are installed as
+    ///    the semi-naive delta ([`DeltaDatabase::resume`]) and the
+    ///    fixpoint continues with delta-variant plans only, so the cost
+    ///    scales with the consequences of the update rather than the size
+    ///    of the theory.
+    ///
+    /// The returned stats report `full_firings == 0` and
+    /// `plans_compiled == 0`.
+    ///
+    /// With `trace`, the table must hold the supports of `model` and is
+    /// both **consumed and maintained**: DRed consults the recorded
+    /// supports first — an over-deleted tuple with a support whose
+    /// parents all escaped over-deletion survives without its support
+    /// probe (`support_hits` counts the saved `support_checks`) — probe
+    /// fallbacks and both propagations record the derivations they make,
+    /// and supports deriving or depending on a net-removed atom are
+    /// purged, so the table leaves holding exactly the supports of the
+    /// returned model.
+    ///
+    /// Programs with negated body literals cannot be maintained
+    /// monotonically — an addition may *retract* conclusions of a higher
+    /// stratum, a removal may add them — so they fall back to a full
+    /// evaluation of the EDB with `added`, rebuilding `trace` from
+    /// scratch.
+    pub fn maintain(
+        &self,
+        plans: &[RulePlan],
+        mut model: Database,
+        removed: &Database,
+        added: &Database,
+        mut trace: Option<&mut SupportTable>,
+    ) -> Result<(Database, EvalStats), DatalogError> {
+        if self.has_negation() {
+            drop(model);
+            let mut prog = self.clone();
+            prog.edb.union_with(added);
+            return match trace {
+                Some(table) => {
+                    *table = SupportTable::new();
+                    prog.eval_traced(EvalOptions::default(), table)
+                }
+                None => prog.eval(),
+            };
+        }
+        debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
+        let mut stats = EvalStats::default();
+        let par = ParCtx::auto();
+        let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
+        if !removed.is_empty() {
+            model = self.dred(
+                &plan_refs,
+                model,
+                removed,
+                trace.as_deref_mut(),
+                &mut stats,
+                par,
+            );
+        }
+        if !added.is_empty() {
+            let mut sink = trace.is_some().then(ProvenanceSink::new);
+            let ddb = DeltaDatabase::resume(model, added);
+            model = seminaive_rounds(&plan_refs, ddb, false, &mut stats, sink.as_mut(), par);
+            if let (Some(table), Some(sink)) = (trace, sink) {
+                stats.supports_recorded += table.absorb(sink);
+            }
+        }
+        model.prune_empty();
+        Ok((model, stats))
+    }
+
+    /// [`Program::maintain`] for an assert-only update.
     pub fn eval_incremental_with(
         &self,
         plans: &[RulePlan],
         model: Database,
         new_facts: &Database,
     ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            return prog.eval();
-        }
-        self.incremental_impl(plans, model, new_facts, None)
+        self.maintain(plans, model, &Database::new(), new_facts, None)
     }
 
-    /// [`Program::eval_incremental_with`] with provenance: every firing
-    /// of the resumed fixpoint records its
-    /// [`Support`](crate::provenance::Support) into `table`, which must
-    /// already hold the supports of `model`. Falls back to a full traced
-    /// evaluation — rebuilding `table` from scratch — when the program
-    /// has negated body literals, exactly like the untraced entry point.
-    pub fn eval_incremental_traced(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        new_facts: &Database,
-        table: &mut SupportTable,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            let mut prog = self.clone();
-            prog.edb.union_with(new_facts);
-            *table = SupportTable::new();
-            return prog.eval_traced(EvalOptions::default(), table);
-        }
-        let mut sink = ProvenanceSink::new();
-        let (db, mut stats) = self.incremental_impl(plans, model, new_facts, Some(&mut sink))?;
-        stats.supports_recorded += table.absorb(sink);
-        Ok((db, stats))
-    }
-
-    fn incremental_impl(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
-        new_facts: &Database,
-        sink: Option<&mut ProvenanceSink>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
-        let mut stats = EvalStats::default();
-        let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
-        let mut ddb = DeltaDatabase::resume(model, new_facts);
-        {
-            let (total, _) = ddb.parts_mut();
-            for (_, plan) in &plan_refs {
-                plan.ensure_total_indexes(total);
-            }
-        }
-        seminaive_rounds(
-            &plan_refs,
-            &mut ddb,
-            false,
-            &mut stats,
-            sink,
-            ParCtx::auto(),
-        );
-        let mut db = ddb.into_total();
-        db.prune_empty();
-        Ok((db, stats))
-    }
-
-    /// Shrink the least model of a **definite** program after a
-    /// retraction, without recomputing it from scratch — the
-    /// delete-and-re-derive (DRed) algorithm. Compiles plans against the
-    /// pre-retraction model; see [`Program::eval_decremental_with`] for
-    /// the cached-plan variant and the contract.
-    pub fn eval_decremental(
-        &self,
-        model: Database,
-        removed_facts: &Database,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            return self.eval();
-        }
-        let plans: Vec<RulePlan> = self
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let mut result = self.eval_decremental_with(&plans, model, removed_facts)?;
-        result.1.plans_compiled += plans.len() as u64;
-        Ok(result)
-    }
-
-    /// [`Program::eval_decremental`] with **caller-supplied plans** — the
-    /// cross-commit plan-cache hook for retract commits.
-    ///
-    /// `self` must be the **post-retraction** program (its EDB no longer
-    /// holds `removed_facts`), `model` the least model of the
-    /// pre-retraction program, and `removed_facts` the ground atoms the
-    /// update removes. The result is exactly the least model of `self`,
-    /// computed in four phases:
-    ///
-    /// 1. **over-delete**: starting from the removed facts still present
-    ///    in the model, run the delta variants against the *original*
-    ///    model to collect everything derivable from the deleted set —
-    ///    the standard over-approximation of the facts that may have lost
-    ///    their derivation;
-    /// 2. **prune** the over-deleted set from the model
-    ///    ([`Database::remove_tuple`] maintains column indexes
-    ///    incrementally);
-    /// 3. **re-derive seeds**: an over-deleted tuple survives if it is
-    ///    still extensional, or if some rule body re-derives it from the
-    ///    pruned model — answered per tuple by the prebound
-    ///    [`RulePlan::support`] plan (`support_checks`), never by a full
-    ///    firing;
-    /// 4. **propagate**: the surviving seeds resume the ordinary
-    ///    semi-naive insertion fixpoint, restoring everything reachable
-    ///    from them.
-    ///
-    /// The returned stats report `full_firings == 0` and
-    /// `plans_compiled == 0`; programs with negated body literals fall
-    /// back to a full [`Program::eval`] exactly like the insertion path.
+    /// [`Program::maintain`] for a retract-only update.
     pub fn eval_decremental_with(
         &self,
         plans: &[RulePlan],
         model: Database,
         removed_facts: &Database,
     ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            return self.eval();
-        }
-        self.decremental_impl(plans, model, removed_facts, None)
+        self.maintain(plans, model, removed_facts, &Database::new(), None)
     }
 
-    /// [`Program::eval_decremental_with`] both **consuming and
-    /// maintaining** a support table. Phase 3 consults the recorded
-    /// supports first: an over-deleted tuple with a support whose parents
-    /// all escaped over-deletion is known to survive without running its
-    /// support probe (`support_hits` counts the saved `support_checks`).
-    /// Probe fallbacks record the derivation they find, phase 4 records
-    /// its re-derivations, and supports deriving — or depending on — a
-    /// net-removed atom are purged, so `table` leaves holding exactly the
-    /// supports of the returned model. Falls back to a full traced
-    /// evaluation (rebuilding `table`) on programs with negation.
-    pub fn eval_decremental_traced(
+    /// The DRed phase of [`Program::maintain`]: shrink the closed `model`
+    /// by `removed_facts`, consuming and maintaining `table` when given.
+    fn dred(
         &self,
-        plans: &[RulePlan],
-        model: Database,
-        removed_facts: &Database,
-        table: &mut SupportTable,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        if self.has_negation() {
-            drop(model);
-            *table = SupportTable::new();
-            return self.eval_traced(EvalOptions::default(), table);
-        }
-        self.decremental_impl(plans, model, removed_facts, Some(table))
-    }
-
-    fn decremental_impl(
-        &self,
-        plans: &[RulePlan],
-        model: Database,
+        plans: &[(usize, &RulePlan)],
+        mut model: Database,
         removed_facts: &Database,
         mut table: Option<&mut SupportTable>,
-    ) -> Result<(Database, EvalStats), DatalogError> {
-        debug_assert_eq!(plans.len(), self.rules.len(), "one plan per rule");
-        let mut stats = EvalStats::default();
-        let mut model = model;
-        let par = ParCtx::auto();
-        let plan_refs: Vec<(usize, &RulePlan)> = plans.iter().enumerate().collect();
-
-        // Phase 1 — over-delete. Seed with the removed facts actually in
-        // the model; absent retracts delete nothing. Over-deletion
-        // firings are *removals*, never derivations — nothing here is
-        // recorded as provenance.
+        stats: &mut EvalStats,
+        par: ParCtx,
+    ) -> Database {
+        // Over-delete. Seed with the removed facts actually in the model;
+        // absent retracts delete nothing. Over-deletion firings are
+        // *removals*, never derivations — nothing here is recorded as
+        // provenance.
         let mut seed = Database::new();
         for (pred, rel) in removed_facts.relations() {
             for t in rel.iter() {
@@ -521,9 +440,9 @@ impl Program {
             }
         }
         if seed.is_empty() {
-            return Ok((model, stats));
+            return model;
         }
-        for (_, plan) in &plan_refs {
+        for (_, plan) in plans {
             plan.ensure_total_indexes(&mut model);
         }
         let mut deleted = DeltaDatabase::new(Database::new());
@@ -534,7 +453,7 @@ impl Program {
                 // Delta-side index warm-up; the deleted split is disjoint
                 // from `model`, so both borrows are independent.
                 let (_, delta) = deleted.parts_mut();
-                for (_, plan) in &plan_refs {
+                for (_, plan) in plans {
                     for (_, variant) in &plan.variants {
                         variant.ensure_indexes(&mut model, Some(delta));
                     }
@@ -542,7 +461,7 @@ impl Program {
             }
             let mut next = Database::new();
             let mut jobs: Vec<(usize, &RulePlan, &ConjunctionPlan)> = Vec::new();
-            for (idx, plan) in &plan_refs {
+            for (idx, plan) in plans {
                 for (pred, variant) in &plan.variants {
                     if deleted.delta().relation(*pred).is_none_or(|r| r.is_empty()) {
                         stats.variants_skipped += 1;
@@ -558,7 +477,7 @@ impl Program {
                 Some(deleted.delta()),
                 deleted.delta().len(),
                 &mut next,
-                &mut stats,
+                stats,
                 None,
                 par,
             );
@@ -571,21 +490,21 @@ impl Program {
             deleted.advance(&next);
         }
         let deleted = deleted.into_total();
-        stats.tuples_overdeleted = deleted.len() as u64;
+        stats.tuples_overdeleted += deleted.len() as u64;
 
-        // Phase 2 — prune the over-approximation from the model.
+        // Prune the over-approximation from the model.
         for (pred, rel) in deleted.relations() {
             for t in rel.iter() {
                 model.remove_tuple(pred, t);
             }
         }
 
-        // Phase 3 — find the survivors: extensional membership in the
-        // post-retraction EDB, a recorded support disjoint from the
-        // over-deleted set (every such parent is still in the pruned
-        // model, so the body match is known without probing), or an
-        // alternative derivation found by the prebound support plan.
-        for (_, plan) in &plan_refs {
+        // Find the survivors: extensional membership in the post-update
+        // EDB, a recorded support disjoint from the over-deleted set
+        // (every such parent is still in the pruned model, so the body
+        // match is known without probing), or an alternative derivation
+        // found by the prebound support plan.
+        for (_, plan) in plans {
             plan.ensure_support_indexes(&mut model);
         }
         let over_ids = table.as_ref().map(|t| t.ids_in(&deleted));
@@ -603,7 +522,7 @@ impl Program {
                         continue;
                     }
                 }
-                for (idx, plan) in &plan_refs {
+                for (idx, plan) in plans {
                     if plan.head.pred != pred {
                         continue;
                     }
@@ -647,24 +566,16 @@ impl Program {
             }
         }
 
-        // Phase 4 — propagate the survivors with the ordinary insertion
-        // fixpoint. Everything it adds back was over-deleted (the model
-        // was closed before the prune), so it reuses the delta variants.
+        // Propagate the survivors with the ordinary insertion fixpoint.
+        // Everything it adds back was over-deleted (the model was closed
+        // before the prune), so it reuses the delta variants.
         let mut sink = table.is_some().then(ProvenanceSink::new);
-        let mut ddb = DeltaDatabase::resume(model, &seeds);
-        {
-            let (total, _) = ddb.parts_mut();
-            for (_, plan) in &plan_refs {
-                plan.ensure_total_indexes(total);
-            }
-        }
-        seminaive_rounds(&plan_refs, &mut ddb, false, &mut stats, sink.as_mut(), par);
-        let mut db = ddb.into_total();
-        stats.tuples_rederived = deleted
+        let ddb = DeltaDatabase::resume(model, &seeds);
+        let db = seminaive_rounds(plans, ddb, false, stats, sink.as_mut(), par);
+        stats.tuples_rederived += deleted
             .relations()
             .map(|(pred, rel)| rel.iter().filter(|t| db.contains_tuple(pred, t)).count() as u64)
-            .sum();
-        db.prune_empty();
+            .sum::<u64>();
         if let (Some(tab), Some(sink)) = (table, sink) {
             // Net-removed atoms — over-deleted and not re-derived — take
             // their supports, and every support depending on them, out of
@@ -680,7 +591,7 @@ impl Program {
             tab.purge(&gone);
             stats.supports_recorded += tab.absorb(sink);
         }
-        Ok((db, stats))
+        db
     }
 
     fn has_negation(&self) -> bool {
@@ -705,16 +616,7 @@ impl Program {
             PlannerMode::Greedy => None,
             PlannerMode::CostBased => Some(&self.edb),
         };
-        let plans: Vec<(usize, RulePlan)> = self
-            .rules
-            .iter()
-            .map(|r| {
-                (
-                    strata[&r.head.pred],
-                    RulePlan::compile_with_stats(r, edb_stats),
-                )
-            })
-            .collect();
+        let plans = self.compile_plans(edb_stats);
         stats.plans_compiled = plans.len() as u64;
 
         for level in 0..=max_stratum {
@@ -723,14 +625,20 @@ impl Program {
             let level_plans: Vec<(usize, &RulePlan)> = plans
                 .iter()
                 .enumerate()
-                .filter(|(_, (l, _))| *l == level)
-                .map(|(i, (_, p))| (i, p))
+                .filter(|(i, _)| strata[&self.rules[*i].head.pred] == level)
                 .collect();
             if level_plans.is_empty() {
                 continue;
             }
             if opts.seminaive {
-                db = fix_seminaive(&level_plans, db, &mut stats, sink.as_deref_mut(), par);
+                db = seminaive_rounds(
+                    &level_plans,
+                    DeltaDatabase::new(db),
+                    true,
+                    &mut stats,
+                    sink.as_deref_mut(),
+                    par,
+                );
             } else {
                 fix_naive(&level_plans, &mut db, &mut stats, sink.as_deref_mut(), par);
             }
@@ -742,15 +650,19 @@ impl Program {
     }
 }
 
-/// Semi-naive fixpoint of one stratum over a stable/delta split.
-fn fix_seminaive(
+/// Run semi-naive rounds over a stable/delta split to fixpoint and return
+/// the total. With `full_first_round` set, the first iteration executes
+/// every rule's full plan (the delta is conceptually "everything" — a
+/// stratum starting from scratch); without it, the caller pre-seeded the
+/// delta ([`DeltaDatabase::resume`]) and only delta variants ever run.
+fn seminaive_rounds(
     plans: &[(usize, &RulePlan)],
-    db: Database,
+    mut ddb: DeltaDatabase,
+    full_first_round: bool,
     stats: &mut EvalStats,
-    sink: Option<&mut ProvenanceSink>,
+    mut sink: Option<&mut ProvenanceSink>,
     par: ParCtx,
 ) -> Database {
-    let mut ddb = DeltaDatabase::new(db);
     // Warm the total-side indexes once; incremental maintenance keeps
     // them fresh as `advance` inserts each round's facts.
     {
@@ -759,23 +671,6 @@ fn fix_seminaive(
             plan.ensure_total_indexes(total);
         }
     }
-    seminaive_rounds(plans, &mut ddb, true, stats, sink, par);
-    ddb.into_total()
-}
-
-/// Run semi-naive rounds to fixpoint. With `full_first_round` set, the
-/// first iteration executes every rule's full plan (the delta is
-/// conceptually "everything" — a stratum starting from scratch); without
-/// it, the caller pre-seeded the delta ([`DeltaDatabase::resume`]) and
-/// only delta variants ever run.
-fn seminaive_rounds(
-    plans: &[(usize, &RulePlan)],
-    ddb: &mut DeltaDatabase,
-    full_first_round: bool,
-    stats: &mut EvalStats,
-    mut sink: Option<&mut ProvenanceSink>,
-    par: ParCtx,
-) {
     let mut first_round = full_first_round;
     loop {
         stats.iterations += 1;
@@ -846,6 +741,7 @@ fn seminaive_rounds(
             break;
         }
     }
+    ddb.into_total()
 }
 
 /// Naive fixpoint of one stratum: every rule's full plan, every round.
@@ -1056,6 +952,18 @@ mod tests {
         Program::from_text(&src).unwrap()
     }
 
+    /// Maintain `model` (the least model before the update) into the
+    /// least model of `after` through plans compiled against it.
+    fn maintain(
+        after: &Program,
+        model: Database,
+        removed: &Database,
+        added: &Database,
+    ) -> (Database, EvalStats) {
+        let plans = after.compile_plans(Some(&model));
+        after.maintain(&plans, model, removed, added, None).unwrap()
+    }
+
     #[test]
     fn transitive_closure_chain() {
         let p = chain(5);
@@ -1111,11 +1019,11 @@ mod tests {
             // The program over the enlarged fact set…
             let after = chain(old + added);
             // …and the new facts alone.
-            let mut new_facts = epilog_storage::Database::new();
+            let mut new_facts = Database::new();
             for i in old..old + added {
                 new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
             }
-            let (inc, stats) = after.eval_incremental(model, &new_facts).unwrap();
+            let (inc, stats) = maintain(&after, model, &Database::new(), &new_facts);
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(inc, scratch, "resume diverged for chain({old})+{added}");
             assert_eq!(
@@ -1130,9 +1038,9 @@ mod tests {
     fn incremental_with_duplicate_facts_is_a_fixpoint_noop() {
         let p = chain(4);
         let (model, _) = p.eval().unwrap();
-        let mut dup = epilog_storage::Database::new();
+        let mut dup = Database::new();
         dup.insert(&atom("e(n0, n1)"));
-        let (inc, stats) = p.eval_incremental(model.clone(), &dup).unwrap();
+        let (inc, stats) = maintain(&p, model.clone(), &Database::new(), &dup);
         assert_eq!(inc, model);
         assert_eq!(stats.rule_firings, 0, "empty delta fires nothing");
         assert_eq!(stats.full_firings, 0);
@@ -1152,12 +1060,33 @@ mod tests {
         assert!(model.contains(&atom("sep(b, a)")));
         // Adding e(b, a) must *remove* sep(b, a): only the full fallback
         // can do that.
-        let mut new_facts = epilog_storage::Database::new();
+        let mut new_facts = Database::new();
         new_facts.insert(&atom("e(b, a)"));
-        let (inc, stats) = p.eval_incremental(model, &new_facts).unwrap();
+        let (inc, stats) = maintain(&p, model.clone(), &Database::new(), &new_facts);
         assert!(!inc.contains(&atom("sep(b, a)")));
         assert!(inc.contains(&atom("reach(b, a)")));
         assert!(stats.full_firings > 0, "fallback runs full plans");
+        // Traced, the fallback discards the old supports and re-records
+        // the new model's from scratch.
+        let mut table = SupportTable::new();
+        p.eval_traced(EvalOptions::default(), &mut table).unwrap();
+        let plans = p.compile_plans(Some(&model));
+        let (traced, _) = p
+            .maintain(
+                &plans,
+                model,
+                &Database::new(),
+                &new_facts,
+                Some(&mut table),
+            )
+            .unwrap();
+        assert_eq!(traced, inc);
+        let mut post = p.clone();
+        post.edb.union_with(&new_facts);
+        let mut rebuilt = SupportTable::new();
+        post.eval_traced(EvalOptions::default(), &mut rebuilt)
+            .unwrap();
+        assert_eq!(table, rebuilt);
     }
 
     #[test]
@@ -1227,26 +1156,29 @@ mod tests {
         let before = chain(5);
         let (model, _) = before.eval().unwrap();
         let after = chain(8);
-        let mut new_facts = epilog_storage::Database::new();
+        let mut new_facts = Database::new();
         for i in 5..8 {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
-        let plans: Vec<crate::plan::RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| crate::plan::RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        // Plans cached from an earlier state (compiled against the
+        // smaller EDB) and plans freshly costed against the model.
+        let cached_plans = before.compile_plans(Some(&before.edb));
+        let fresh_plans = after.compile_plans(Some(&model));
+        let none = Database::new();
         let (cached, cached_stats) = after
-            .eval_incremental_with(&plans, model.clone(), &new_facts)
+            .maintain(&cached_plans, model.clone(), &none, &new_facts, None)
             .unwrap();
-        let (fresh, fresh_stats) = after.eval_incremental(model, &new_facts).unwrap();
+        let (fresh, fresh_stats) = after
+            .maintain(&fresh_plans, model, &none, &new_facts, None)
+            .unwrap();
         assert_eq!(cached, fresh);
         assert_eq!(
             cached_stats.plans_compiled, 0,
             "cache path compiles nothing"
         );
-        assert!(fresh_stats.plans_compiled > 0);
+        assert_eq!(fresh_stats.plans_compiled, 0);
         assert_eq!(cached_stats.full_firings, 0);
+        assert_eq!(fresh_stats.full_firings, 0);
     }
 
     #[test]
@@ -1257,7 +1189,7 @@ mod tests {
             // Retract edge cut..cut+1; the post-retraction program is the
             // chain minus that edge.
             let removed_src = format!("e(n{cut}, n{})", cut + 1);
-            let mut removed = epilog_storage::Database::new();
+            let mut removed = Database::new();
             removed.insert(&atom(&removed_src));
             let mut src = String::new();
             for i in (0..n).filter(|&i| i != cut) {
@@ -1266,7 +1198,7 @@ mod tests {
             src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
             src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
             let after = Program::from_text(&src).unwrap();
-            let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
+            let (dec, stats) = maintain(&after, model, &removed, &Database::new());
             let (scratch, _) = after.eval().unwrap();
             assert_eq!(dec, scratch, "DRed diverged for chain({n}) - edge {cut}");
             assert_eq!(stats.full_firings, 0, "DRed must never run a full plan");
@@ -1288,7 +1220,7 @@ mod tests {
         )
         .unwrap();
         let (model, _) = before.eval().unwrap();
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(a, b)"));
         let after = Program::from_text(
             "e2(a, b)
@@ -1298,7 +1230,7 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
+        let (dec, stats) = maintain(&after, model, &removed, &Database::new());
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")), "e2 still supports t(a, b)");
@@ -1320,14 +1252,14 @@ mod tests {
         )
         .unwrap();
         let (model, _) = before.eval().unwrap();
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(a, b)"));
         let after = Program::from_text(
             "t(a, b)
              forall x, y. e(x, y) -> t(x, y)",
         )
         .unwrap();
-        let (dec, _) = after.eval_decremental(model, &removed).unwrap();
+        let (dec, _) = maintain(&after, model, &removed, &Database::new());
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(dec, scratch);
         assert!(dec.contains(&atom("t(a, b)")));
@@ -1338,9 +1270,9 @@ mod tests {
     fn decremental_of_absent_fact_is_a_noop() {
         let p = chain(4);
         let (model, _) = p.eval().unwrap();
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(n9, n10)"));
-        let (dec, stats) = p.eval_decremental(model.clone(), &removed).unwrap();
+        let (dec, stats) = maintain(&p, model.clone(), &removed, &Database::new());
         assert_eq!(dec, model);
         assert_eq!(stats.rule_firings, 0, "empty seed deletes nothing");
         assert_eq!(stats.tuples_overdeleted, 0);
@@ -1360,7 +1292,7 @@ mod tests {
         let (model, _) = p.eval().unwrap();
         assert!(!model.contains(&atom("sep(b, a)")));
         // Removing e(b, a) must *add* sep(b, a): only the fallback can.
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(b, a)"));
         let after = Program::from_text(
             "node(a)
@@ -1370,7 +1302,7 @@ mod tests {
              forall x, y. node(x) & node(y) & ~reach(x, y) -> sep(x, y)",
         )
         .unwrap();
-        let (dec, stats) = after.eval_decremental(model, &removed).unwrap();
+        let (dec, stats) = maintain(&after, model, &removed, &Database::new());
         assert!(dec.contains(&atom("sep(b, a)")));
         assert!(stats.full_firings > 0, "fallback runs full plans");
     }
@@ -1379,7 +1311,7 @@ mod tests {
     fn cached_decremental_plans_match_fresh_and_compile_nothing() {
         let before = chain(7);
         let (model, _) = before.eval().unwrap();
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(n3, n4)"));
         let mut src = String::new();
         for i in (0..7).filter(|&i| i != 3) {
@@ -1388,22 +1320,23 @@ mod tests {
         src.push_str("forall x, y. e(x, y) -> t(x, y)\n");
         src.push_str("forall x, y, z. e(x, y) & t(y, z) -> t(x, z)\n");
         let after = Program::from_text(&src).unwrap();
-        let plans: Vec<crate::plan::RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| crate::plan::RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        let cached_plans = before.compile_plans(Some(&before.edb));
+        let fresh_plans = after.compile_plans(Some(&model));
+        let none = Database::new();
         let (cached, cached_stats) = after
-            .eval_decremental_with(&plans, model.clone(), &removed)
+            .maintain(&cached_plans, model.clone(), &removed, &none, None)
             .unwrap();
-        let (fresh, fresh_stats) = after.eval_decremental(model, &removed).unwrap();
+        let (fresh, fresh_stats) = after
+            .maintain(&fresh_plans, model, &removed, &none, None)
+            .unwrap();
         assert_eq!(cached, fresh);
         assert_eq!(
             cached_stats.plans_compiled, 0,
             "cache path compiles nothing"
         );
-        assert!(fresh_stats.plans_compiled > 0);
+        assert_eq!(fresh_stats.plans_compiled, 0);
         assert_eq!(cached_stats.full_firings, 0);
+        assert_eq!(fresh_stats.full_firings, 0);
     }
 
     #[test]
@@ -1699,17 +1632,19 @@ mod tests {
             .eval_traced(EvalOptions::default(), &mut table)
             .unwrap();
         let after = chain(6);
-        let mut new_facts = epilog_storage::Database::new();
+        let mut new_facts = Database::new();
         for i in 4..6 {
             new_facts.insert(&atom(&format!("e(n{i}, n{})", i + 1)));
         }
-        let plans: Vec<RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        let plans = after.compile_plans(Some(&model));
         let (inc, stats) = after
-            .eval_incremental_traced(&plans, model, &new_facts, &mut table)
+            .maintain(
+                &plans,
+                model,
+                &Database::new(),
+                &new_facts,
+                Some(&mut table),
+            )
             .unwrap();
         let (scratch, _) = after.eval().unwrap();
         assert_eq!(inc, scratch);
@@ -1742,7 +1677,7 @@ mod tests {
         let (model, _) = before
             .eval_traced(EvalOptions::default(), &mut table)
             .unwrap();
-        let mut removed = epilog_storage::Database::new();
+        let mut removed = Database::new();
         removed.insert(&atom("e(a, b)"));
         let after = Program::from_text(
             "e2(a, b)
@@ -1752,16 +1687,13 @@ mod tests {
              forall x, y, z. e(x, y) & t(y, z) -> t(x, z)",
         )
         .unwrap();
-        let plans: Vec<RulePlan> = after
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        let plans = after.compile_plans(Some(&model));
+        let none = Database::new();
         let (plain_db, plain) = after
-            .eval_decremental_with(&plans, model.clone(), &removed)
+            .maintain(&plans, model.clone(), &removed, &none, None)
             .unwrap();
         let (traced_db, traced) = after
-            .eval_decremental_traced(&plans, model, &removed, &mut table)
+            .maintain(&plans, model, &removed, &none, Some(&mut table))
             .unwrap();
         assert_eq!(traced_db, plain_db, "supports must not change the model");
         assert_eq!(traced.tuples_rederived, plain.tuples_rederived);

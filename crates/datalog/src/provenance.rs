@@ -1,8 +1,7 @@
 //! Derivation provenance: per-tuple support records and proof trees.
 //!
 //! A traced evaluation ([`Program::eval_traced`](crate::Program::eval_traced),
-//! [`Program::eval_incremental_traced`](crate::Program::eval_incremental_traced),
-//! [`Program::eval_decremental_traced`](crate::Program::eval_decremental_traced))
+//! or [`Program::maintain`](crate::Program::maintain) given a table)
 //! records, for every head derivation the fixpoint performs, one
 //! [`Support`] — the index of the rule that fired and the ground positive
 //! body tuples it matched. Supports accumulate in a [`SupportTable`], an
@@ -18,10 +17,10 @@
 //!   `support_checks` probe ([`EvalStats::support_hits`](crate::EvalStats)
 //!   counts the saved probes).
 //!
-//! Recording is opt-in: the untraced `eval*` entry points pass no sink and
-//! pay nothing. Within a traced run the sink is a flat append-only buffer
-//! (parallel shards keep their own and are merged in plan order, so the
-//! table contents are deterministic across thread counts); interning and
+//! Recording is opt-in: untraced runs pass no sink and pay nothing.
+//! Within a traced run the sink is a flat append-only buffer (parallel
+//! shards keep their own and are merged in plan order, so the table
+//! contents are deterministic across thread counts); interning and
 //! deduplication happen once per run in [`SupportTable::absorb`].
 
 use epilog_storage::{AtomTemplate, Database, Tuple};

@@ -30,7 +30,7 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::wal::{FsyncPolicy, TornTail, Wal, WalOp, WAL_FILE};
 use epilog_core::db::DbError;
 use epilog_core::{CommitReport, EpistemicDb, Transaction};
-use epilog_syntax::{Formula, Theory};
+use epilog_syntax::{Formula, Theory, MAX_NESTING};
 use std::fmt;
 use std::io;
 use std::ops::Deref;
@@ -78,7 +78,9 @@ impl From<SnapshotError> for PersistError {
     fn from(e: SnapshotError) -> Self {
         match e {
             SnapshotError::Io(e) => PersistError::Io(e),
-            SnapshotError::Corrupt(why) => PersistError::Corrupt(why),
+            SnapshotError::Corrupt(why) | SnapshotError::Unreadable(why) => {
+                PersistError::Corrupt(why)
+            }
         }
     }
 }
@@ -187,12 +189,21 @@ impl DurableDb {
     /// Initialize a durable database at `dir` (created if absent) with an
     /// initial theory. Writes the genesis snapshot (LSN 0) and an empty
     /// log. Fails if `dir` already holds a log — an existing database
-    /// must go through [`DurableDb::recover`].
+    /// must go through [`DurableDb::recover`] — or if a sentence of the
+    /// theory nests deeper than the parser reads back
+    /// ([`DbError::TooDeep`]).
     pub fn create(
         dir: impl AsRef<Path>,
         theory: Theory,
         policy: FsyncPolicy,
     ) -> Result<DurableDb, PersistError> {
+        if !theory
+            .sentences()
+            .iter()
+            .all(|w| w.height_at_most(MAX_NESTING))
+        {
+            return Err(DbError::TooDeep.into());
+        }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         if dir.join(WAL_FILE).exists() {
@@ -236,7 +247,7 @@ impl DurableDb {
                     break;
                 }
                 Err(SnapshotError::Corrupt(_)) => snapshots_skipped += 1,
-                Err(SnapshotError::Io(e)) => return Err(e.into()),
+                Err(e) => return Err(e.into()),
             }
         }
         let (mut db, snapshot_lsn, model_restored) = match &base {
@@ -305,6 +316,11 @@ impl DurableDb {
     /// a refusal (constraint violated by the current state) rewinds the
     /// log so no rejected record survives.
     pub fn add_constraint(&mut self, ic: Formula) -> Result<(), PersistError> {
+        // Refused before the append: a crash before the rewind must not
+        // leave a record that recovery cannot read.
+        if !ic.height_at_most(MAX_NESTING) {
+            return Err(DbError::TooDeep.into());
+        }
         let mark = self.wal.mark();
         if let Err(e) = self.wal.append(&[WalOp::Constraint(ic.clone())]) {
             let _ = self.wal.rewind(mark.0, mark.1);
@@ -666,6 +682,67 @@ mod tests {
         drop(rec);
         let (_, report) = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
         assert!(report.torn_tail.is_none());
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn sentences_past_the_nesting_limit_never_reach_the_log() {
+        let d = dir();
+        let mut db = populated(&d, FsyncPolicy::Always);
+        // `n` disjuncts are `n - 1` high.
+        let chain = |n: usize| {
+            Formula::or_all((0..n).map(|i| Formula::prop(&format!("r{i}"))).collect()).unwrap()
+        };
+        let deep = chain(MAX_NESTING + 2);
+        assert!(matches!(
+            db.assert(deep.clone()),
+            Err(PersistError::Db(DbError::TooDeep))
+        ));
+        assert!(matches!(
+            db.add_constraint(Formula::know(chain(MAX_NESTING + 1))),
+            Err(PersistError::Db(DbError::TooDeep))
+        ));
+        assert_eq!(db.last_lsn(), 3, "refusals log nothing");
+        db.assert(chain(MAX_NESTING + 1)).unwrap();
+        let live_theory = db.theory().clone();
+        drop(db);
+        let (rec, report) = DurableDb::recover(&d, FsyncPolicy::Always).unwrap();
+        assert_eq!(report.records_replayed, 4);
+        assert!(report.torn_tail.is_none());
+        assert_eq!(rec.theory(), &live_theory);
+        drop(rec);
+
+        // A record an older writer logged past the limit passes its
+        // checksum: recovery fails loudly and leaves the log whole,
+        // rather than truncate it as a torn tail.
+        let wal_path = d.join(WAL_FILE);
+        let log = std::fs::read(&wal_path).unwrap();
+        let (mut wal, _) = Wal::open(&wal_path, FsyncPolicy::Always).unwrap();
+        wal.append(&[WalOp::Assert(deep.clone())]).unwrap();
+        drop(wal);
+        let len = std::fs::metadata(&wal_path).unwrap().len();
+        match DurableDb::recover(&d, FsyncPolicy::Always) {
+            Err(PersistError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected a loud failure, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), len);
+
+        // Likewise a snapshot holding such a sentence (over a readable
+        // log): no silent fallback to an older snapshot.
+        std::fs::write(&wal_path, log).unwrap();
+        assert!(DurableDb::recover(&d, FsyncPolicy::Always).is_ok());
+        let e = DurableDb::create(
+            dir(),
+            Theory::new(vec![deep.clone()]).unwrap(),
+            FsyncPolicy::Always,
+        );
+        assert!(matches!(e, Err(PersistError::Db(DbError::TooDeep))));
+        let old = EpistemicDb::new(Theory::new(vec![deep]).unwrap());
+        let _ = Snapshot::of(&old, 4, true).write(&d).unwrap();
+        assert!(matches!(
+            DurableDb::recover(&d, FsyncPolicy::Always),
+            Err(PersistError::Corrupt(why)) if why.contains("nested deeper")
+        ));
         std::fs::remove_dir_all(d).unwrap();
     }
 

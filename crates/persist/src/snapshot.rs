@@ -48,6 +48,11 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file exists but its header, checksum, or contents are invalid.
     Corrupt(String),
+    /// The file passes its checksum, so it holds what was written, but a
+    /// sentence in it does not parse (say, one nested past the parser's
+    /// limit by an older writer). Recovery fails on it rather than fall
+    /// back to an older state.
+    Unreadable(String),
 }
 
 impl fmt::Display for SnapshotError {
@@ -55,6 +60,7 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
+            SnapshotError::Unreadable(why) => write!(f, "unreadable snapshot: {why}"),
         }
     }
 }
@@ -232,8 +238,9 @@ impl Snapshot {
             Supports,
         }
         fn ground_atom(text: &str) -> Result<Atom, SnapshotError> {
-            let w = parse(text)
-                .map_err(|e| SnapshotError::Corrupt(format!("unparseable line {text:?}: {e}")))?;
+            let w = parse(text).map_err(|e| {
+                SnapshotError::Unreadable(format!("unparseable line {text:?}: {e}"))
+            })?;
             match w {
                 Formula::Atom(a) if a.is_ground() => Ok(a),
                 other => Err(SnapshotError::Corrupt(format!(
@@ -262,7 +269,7 @@ impl Snapshot {
                     }
                     Section::Theory | Section::Constraints => {
                         let w = parse(line).map_err(|e| {
-                            SnapshotError::Corrupt(format!("unparseable line {line:?}: {e}"))
+                            SnapshotError::Unreadable(format!("unparseable line {line:?}: {e}"))
                         })?;
                         match section {
                             Section::Theory => sentences.push(w),

@@ -22,12 +22,19 @@
 //!
 //! A crash mid-append leaves a partial final record. [`Wal::open`] scans
 //! the log, stops at the first record that fails any framing check
-//! (header shape, LSN continuity, payload length, terminator, checksum,
-//! sentence syntax), truncates the file there, and reports the cut as a
-//! [`TornTail`]. Everything before the cut is intact by checksum;
-//! everything after it is unrecoverable by construction (records are not
-//! self-synchronizing), which is exactly the log-ahead contract: the tail
-//! being torn means the transaction never reported success.
+//! (header shape, LSN continuity, payload length, terminator, checksum),
+//! truncates the file there, and reports the cut as a [`TornTail`].
+//! Everything before the cut is intact by checksum; everything after it
+//! is unrecoverable by construction (records are not self-synchronizing),
+//! which is exactly the log-ahead contract: the tail being torn means the
+//! transaction never reported success.
+//!
+//! A record that passes its checksum but whose sentences do not parse is
+//! not torn — it was written whole, so its transaction was acknowledged.
+//! [`Wal::open`] fails with [`io::ErrorKind::InvalidData`] instead of
+//! truncating it. Commits refuse sentences nested deeper than
+//! [`MAX_NESTING`](epilog_syntax::MAX_NESTING), so this build never
+//! writes such a record.
 
 use crate::fault::{self, FaultInjector};
 use crate::fnv1a64;
@@ -119,7 +126,7 @@ pub struct WalRecord {
 pub struct TornTail {
     /// Byte offset of the first unrecoverable byte.
     pub offset: u64,
-    /// What failed: framing, checksum, LSN continuity, or syntax.
+    /// What failed: framing, checksum, or LSN continuity.
     pub reason: String,
 }
 
@@ -160,8 +167,10 @@ fn encode_record(lsn: u64, ops: &[WalOp]) -> Vec<u8> {
     out
 }
 
-/// Scan raw log bytes into records, stopping at the first defect.
-fn scan_bytes(bytes: &[u8]) -> WalScan {
+/// Scan raw log bytes into records, stopping at the first defect. A
+/// record that passes its checksum but does not decode is an error, not
+/// a defect.
+fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
     let mut scan = WalScan::default();
     let mut pos: usize = 0;
     let torn = |offset: usize, reason: String| TornTail {
@@ -227,21 +236,22 @@ fn scan_bytes(bytes: &[u8]) -> WalScan {
                 break;
             }
         };
-        let mut ops = Vec::new();
-        let mut defect = None;
-        for line in text.lines() {
-            match WalOp::decode(line) {
-                Ok(op) => ops.push(op),
-                Err(e) => {
-                    defect = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = defect {
-            scan.torn = Some(torn(pos, e));
-            break;
-        }
+        // The checksum held, so this is the record as it was written, not
+        // a torn tail: one this build cannot read (say, a sentence nested
+        // past the parser's limit by an older writer) fails the scan
+        // rather than be truncated with every commit after it.
+        let ops = text
+            .lines()
+            .map(WalOp::decode)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "record {lsn} at byte {pos} passed its checksum but does not decode: {e}"
+                    ),
+                )
+            })?;
         pos = body + len + 1;
         scan.records.push(WalRecord {
             lsn,
@@ -252,7 +262,7 @@ fn scan_bytes(bytes: &[u8]) -> WalScan {
     if let Some(t) = &scan.torn {
         scan.truncated_bytes = bytes.len() as u64 - t.offset;
     }
-    scan
+    Ok(scan)
 }
 
 /// An open write-ahead log, positioned for appending.
@@ -296,7 +306,8 @@ impl Wal {
     /// Open an existing log (creating an empty one if absent): scan it,
     /// truncate any torn tail, and position for appending after the last
     /// intact record. The scan — including what was cut and why — is
-    /// returned for the caller's recovery report.
+    /// returned for the caller's recovery report. A checksummed record
+    /// that does not decode fails the open and leaves the file untouched.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> io::Result<(Wal, WalScan)> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -307,7 +318,7 @@ impl Wal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes(&bytes)?;
         let good_len = scan.records.last().map_or(0, |r| r.end_offset);
         if (good_len as usize) < bytes.len() {
             file.set_len(good_len)?;
@@ -345,7 +356,7 @@ impl Wal {
     /// tests and crash simulations to enumerate record boundaries.
     pub fn scan_file(path: impl AsRef<Path>) -> io::Result<WalScan> {
         let bytes = std::fs::read(path)?;
-        Ok(scan_bytes(&bytes))
+        scan_bytes(&bytes)
     }
 
     /// Append one record and apply the fsync policy. Returns the record's
@@ -399,7 +410,7 @@ impl Wal {
     pub fn compact_through(&mut self, through: u64) -> io::Result<(u64, u64)> {
         self.sync()?;
         let bytes = std::fs::read(&self.path)?;
-        let scan = scan_bytes(&bytes);
+        let scan = scan_bytes(&bytes)?;
         let keep_from = scan
             .records
             .iter()

@@ -47,6 +47,11 @@
 //!
 //! # Robustness
 //!
+//! A request that cannot be answered — a parse error (a sentence nested
+//! deeper than [`epilog_syntax::MAX_NESTING`] included), an `ask` of an
+//! open formula, or a panic while answering (`err internal: …`) — gets
+//! exactly one `err` line, and the session keeps serving.
+//!
 //! When the served database is in degraded read-only mode (an I/O
 //! failure on the commit path), writes answer
 //! `err degraded (read-only): …` while `ask`/`demo`/`why` keep
@@ -63,6 +68,7 @@ use epilog_persist::{PersistError, ServeError, ServeStats, ServingDb, TxOp};
 use epilog_syntax::parse;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -97,8 +103,21 @@ impl<'a> Session<'a> {
     }
 
     /// Answer one request line. The response is one or more complete
-    /// lines without a trailing newline.
+    /// lines without a trailing newline. A panic while answering is
+    /// caught and answered `err internal: …`, so one bad request never
+    /// takes the connection down without a reply.
     fn handle(&mut self, line: &str) -> (String, Disposition) {
+        panic::catch_unwind(AssertUnwindSafe(|| self.answer(line))).unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("panic");
+            (format!("err internal: {what}"), Disposition::Continue)
+        })
+    }
+
+    fn answer(&mut self, line: &str) -> (String, Disposition) {
         let line = line.trim();
         let (verb, rest) = match line.split_once(' ') {
             Some((v, r)) => (v, r.trim()),
@@ -131,6 +150,9 @@ impl<'a> Session<'a> {
 
     fn ask(&self, src: &str) -> Result<String, String> {
         let q = parse(src).map_err(|e| format!("parse: {e}"))?;
+        if !q.is_sentence() {
+            return Err("ask needs a sentence (use demo for open queries)".into());
+        }
         let snap = self.db.snapshot();
         let verdict = match snap.ask(&q) {
             epilog_core::Answer::Yes => "yes",
@@ -667,6 +689,31 @@ mod tests {
 
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.commits, 1);
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn bad_requests_get_one_err_line_and_the_session_keeps_serving() {
+        let d = dir();
+        let server = serve(&d);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(
+            c.request("ask p(x)").unwrap(),
+            "err ask needs a sentence (use demo for open queries)"
+        );
+        assert_eq!(c.request("ask K person(Mary)").unwrap(), "ok no @0");
+        // Far past the parser's nesting limit: refused, not a crash of
+        // the session thread (or, on overflow, the whole process).
+        let deep = format!("ask {}p(a)", "~".repeat(8000));
+        let r = c.request(&deep).unwrap();
+        assert!(r.starts_with("err parse:"), "got {r}");
+        assert!(r.contains("nested deeper"), "got {r}");
+        assert_eq!(
+            c.request("assert emp(Mary)").unwrap(),
+            "ok committed @1 +1 -0"
+        );
+        assert_eq!(c.request("ask K person(Mary)").unwrap(), "ok yes @1");
+        server.shutdown().unwrap();
         std::fs::remove_dir_all(d).unwrap();
     }
 

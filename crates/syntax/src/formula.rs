@@ -198,6 +198,24 @@ impl Formula {
 
     // ----- structure ------------------------------------------------------
 
+    /// Whether the syntax tree is at most `limit` high: atoms and
+    /// equalities are 0, and every connective, quantified variable and
+    /// `K` adds one on the longest path to an atom. Recurses at most
+    /// `limit + 1` deep, so it is safe on formulas of any height.
+    pub fn height_at_most(&self, limit: usize) -> bool {
+        match self {
+            Formula::Atom(_) | Formula::Eq(_, _) => true,
+            _ if limit == 0 => false,
+            Formula::Not(w) | Formula::Know(w) | Formula::Forall(_, w) | Formula::Exists(_, w) => {
+                w.height_at_most(limit - 1)
+            }
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Implies(a, b)
+            | Formula::Iff(a, b) => a.height_at_most(limit - 1) && b.height_at_most(limit - 1),
+        }
+    }
+
     /// Immediate subformulas.
     pub fn children(&self) -> Vec<&Formula> {
         match self {
@@ -706,6 +724,18 @@ mod tests {
     fn display_negated_equality() {
         let w = Formula::not(Formula::eq(p("a"), p("b")));
         assert_eq!(w.to_string(), "a != b");
+    }
+
+    #[test]
+    fn height_counts_connectives_variables_and_k() {
+        let a = Formula::prop("p");
+        assert!(a.height_at_most(0));
+        let x = Var::new("x");
+        let w = Formula::know(Formula::exists(x, Formula::not(a.clone())));
+        assert!(w.height_at_most(3) && !w.height_at_most(2));
+        // A flat chain of `n` disjuncts is `n - 1` high.
+        let chain = Formula::or_all(vec![a; 5]).unwrap();
+        assert!(chain.height_at_most(4) && !chain.height_at_most(3));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use classify::{
     Admissibility, UnsafeReason,
 };
 pub use formula::{Atom, Formula};
-pub use parse::{parse, parse_theory, ParseError};
+pub use parse::{parse, parse_theory, ParseError, ParseErrorKind, MAX_NESTING};
 pub use symbols::{Param, Pred, Var};
 pub use term::Term;
 pub use theory::Theory;

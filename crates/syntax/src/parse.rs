@@ -31,9 +31,28 @@ use crate::symbols::{Param, Pred, Var};
 use crate::term::Term;
 use std::fmt;
 
+/// The deepest formula [`parse`] accepts: the height of its syntax tree,
+/// counting every connective, quantified variable and `K` on the longest
+/// path from the root to an atom. Far above any realistic query, and far
+/// enough below the recursion budget of the printer, NNF, the
+/// `K`-reduction and WAL replay that every accepted sentence can be
+/// printed, answered and replayed on a thread with a 2 MiB stack.
+pub const MAX_NESTING: usize = 128;
+
+/// What kind of failure a [`ParseError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not a formula of the grammar.
+    Syntax,
+    /// The formula nests deeper than [`MAX_NESTING`].
+    TooDeep,
+}
+
 /// Error produced when parsing fails, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// What kind of failure this is.
+    pub kind: ParseErrorKind,
     /// Human-readable description of what went wrong.
     pub message: String,
     /// Byte offset in the source text where the error was noticed.
@@ -118,6 +137,7 @@ impl Lexer {
                 }
                 _ => {
                     return Err(ParseError {
+                        kind: ParseErrorKind::Syntax,
                         message: format!("unexpected character '{c}'"),
                         offset: start,
                     })
@@ -133,12 +153,19 @@ impl Lexer {
     }
 }
 
+/// A recursive-descent parser. Every production returns the formula it
+/// built together with its height (atoms are 0), so nesting is refused
+/// before a too-deep tree exists.
 struct Parser {
     toks: Vec<(Tok, usize)>,
     i: usize,
     bound: Vec<String>,
     end: usize,
+    /// Recursive descents currently open.
+    descents: usize,
 }
+
+type Parsed = Result<(Formula, usize), ParseError>;
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
@@ -168,61 +195,99 @@ impl Parser {
 
     fn err(&self, message: String) -> ParseError {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message,
             offset: self.offset(),
         }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.implies()?;
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            kind: ParseErrorKind::TooDeep,
+            message: format!("formula nested deeper than {MAX_NESTING}"),
+            offset: self.offset(),
+        }
+    }
+
+    /// The height of a node over children at most `h` high, refused past
+    /// [`MAX_NESTING`].
+    fn nest(&self, h: usize) -> Result<usize, ParseError> {
+        if h < MAX_NESTING {
+            Ok(h + 1)
+        } else {
+            Err(self.too_deep())
+        }
+    }
+
+    /// Run `f` one recursive descent deeper, refusing to outrun the stack
+    /// before any node is built. Each descent opens a parenthesis or
+    /// builds a node, and the printer wraps a node in at most one pair,
+    /// so a printed formula within [`MAX_NESTING`] descends at most twice
+    /// that deep.
+    fn descend(&mut self, f: fn(&mut Self) -> Parsed) -> Parsed {
+        if self.descents >= 2 * MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.descents += 1;
+        let parsed = f(self);
+        self.descents -= 1;
+        parsed
+    }
+
+    fn formula(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.implies()?;
         while self.peek() == Some(&Tok::Iff) {
             self.i += 1;
-            let rhs = self.implies()?;
+            let (rhs, rh) = self.implies()?;
+            h = self.nest(h.max(rh))?;
             lhs = Formula::iff(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.or()?;
+    fn implies(&mut self) -> Parsed {
+        let (lhs, h) = self.or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.i += 1;
-            let rhs = self.implies()?;
-            Ok(Formula::implies(lhs, rhs))
+            let (rhs, rh) = self.descend(Self::implies)?;
+            Ok((Formula::implies(lhs, rhs), self.nest(h.max(rh))?))
         } else {
-            Ok(lhs)
+            Ok((lhs, h))
         }
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.and()?;
+    fn or(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.and()?;
         while self.peek() == Some(&Tok::Or) {
             self.i += 1;
-            let rhs = self.and()?;
+            let (rhs, rh) = self.and()?;
+            h = self.nest(h.max(rh))?;
             lhs = Formula::or(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.unary()?;
+    fn and(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.unary()?;
         while self.peek() == Some(&Tok::And) {
             self.i += 1;
-            let rhs = self.unary()?;
+            let (rhs, rh) = self.unary()?;
+            h = self.nest(h.max(rh))?;
             lhs = Formula::and(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
+    fn unary(&mut self) -> Parsed {
         match self.peek() {
             Some(Tok::Not) => {
                 self.i += 1;
-                Ok(Formula::not(self.unary()?))
+                let (w, h) = self.descend(Self::unary)?;
+                Ok((Formula::not(w), self.nest(h)?))
             }
             Some(Tok::LParen) => {
                 self.i += 1;
-                let w = self.formula()?;
+                let w = self.descend(Self::formula)?;
                 self.expect(&Tok::RParen, "')'")?;
                 // Allow a parenthesised formula to be the left side of an
                 // equality? Terms are identifiers only, so no.
@@ -233,7 +298,8 @@ impl Parser {
                 match word.as_str() {
                     "K" => {
                         self.i += 1;
-                        Ok(Formula::know(self.unary()?))
+                        let (w, h) = self.descend(Self::unary)?;
+                        Ok((Formula::know(w), self.nest(h)?))
                     }
                     "forall" | "all" => {
                         self.i += 1;
@@ -250,7 +316,7 @@ impl Parser {
         }
     }
 
-    fn quantifier(&mut self, forall: bool) -> Result<Formula, ParseError> {
+    fn quantifier(&mut self, forall: bool) -> Parsed {
         let mut vars = Vec::new();
         loop {
             match self.bump() {
@@ -266,11 +332,16 @@ impl Parser {
         for v in &vars {
             self.bound.push(v.clone());
         }
-        let body = self.formula()?;
+        let body = self.descend(Self::formula);
         for _ in &vars {
             self.bound.pop();
         }
-        let mut w = body;
+        let (mut w, h) = body?;
+        // One node per variable: refuse before building the chain.
+        let h = h + vars.len();
+        if h > MAX_NESTING {
+            return Err(self.too_deep());
+        }
         for name in vars.into_iter().rev() {
             let v = Var::new(&name);
             w = if forall {
@@ -279,7 +350,7 @@ impl Parser {
                 Formula::exists(v, w)
             };
         }
-        Ok(w)
+        Ok((w, h))
     }
 
     /// An identifier in term position denotes a variable iff it is bound by
@@ -298,7 +369,7 @@ impl Parser {
         }
     }
 
-    fn atom_or_eq(&mut self) -> Result<Formula, ParseError> {
+    fn atom_or_eq(&mut self) -> Parsed {
         let name = match self.bump() {
             Some(Tok::Ident(n)) => n,
             _ => return Err(self.err("expected identifier".into())),
@@ -319,7 +390,7 @@ impl Parser {
                     }
                 }
                 let pred = Pred::new(&name, terms.len());
-                Ok(Formula::Atom(Atom::new(pred, terms)))
+                Ok((Formula::Atom(Atom::new(pred, terms)), 0))
             }
             Some(Tok::Eq) => {
                 self.i += 1;
@@ -328,7 +399,7 @@ impl Parser {
                     Some(Tok::Ident(t)) => self.term_of(&t),
                     _ => return Err(self.err("expected term after '='".into())),
                 };
-                Ok(Formula::Eq(lhs, rhs))
+                Ok((Formula::Eq(lhs, rhs), 0))
             }
             Some(Tok::Neq) => {
                 self.i += 1;
@@ -337,11 +408,11 @@ impl Parser {
                     Some(Tok::Ident(t)) => self.term_of(&t),
                     _ => return Err(self.err("expected term after '!='".into())),
                 };
-                Ok(Formula::not(Formula::Eq(lhs, rhs)))
+                Ok((Formula::not(Formula::Eq(lhs, rhs)), 1))
             }
             _ => {
                 // Bare identifier in formula position: a proposition.
-                Ok(Formula::Atom(Atom::new(Pred::new(&name, 0), vec![])))
+                Ok((Formula::Atom(Atom::new(Pred::new(&name, 0), vec![])), 0))
             }
         }
     }
@@ -371,8 +442,9 @@ pub fn parse(src: &str) -> Result<Formula, ParseError> {
         i: 0,
         bound: Vec::new(),
         end: src.len(),
+        descents: 0,
     };
-    let w = p.formula()?;
+    let (w, _) = p.formula()?;
     if p.i != p.toks.len() {
         return Err(p.err("trailing input after formula".into()));
     }
@@ -394,8 +466,8 @@ pub fn parse_theory(src: &str) -> Result<Vec<Formula>, ParseError> {
         let chunk = uncommented.trim();
         if !chunk.is_empty() {
             let w = parse(chunk).map_err(|e| ParseError {
-                message: e.message,
                 offset: offset + e.offset,
+                ..e
             })?;
             out.push(w);
         }
@@ -547,6 +619,56 @@ mod tests {
         // Outside the binder the same parameter prints bare.
         let w2 = Formula::atom("q", vec![Param::new("a").into()]);
         assert_eq!(w2.to_string(), "q(a)");
+    }
+
+    #[test]
+    fn nesting_limit_is_typed_and_exact() {
+        let deep = |n: usize| format!("{}p(a)", "~".repeat(n));
+        let at = parse(&deep(MAX_NESTING)).unwrap();
+        assert_eq!(parse(&at.to_string()).unwrap(), at);
+        let e = parse(&deep(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TooDeep);
+        // Iterated connectives nest too: `n` conjuncts are `n - 1` deep.
+        let chain = |n: usize| vec!["p(a)"; n].join(" & ");
+        assert!(parse(&chain(MAX_NESTING + 1)).is_ok());
+        let e = parse(&chain(MAX_NESTING + 2)).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TooDeep);
+        // So do quantified variables, one node each.
+        let vars = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>();
+        let q = |n: usize| format!("exists {}. p(a)", vars(n).join(", "));
+        assert!(parse(&q(MAX_NESTING)).is_ok());
+        assert_eq!(
+            parse(&q(MAX_NESTING + 1)).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
+        // Parentheses build no node but do recurse: bounded separately.
+        let parens = |n: usize| format!("{}p(a){}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(2 * MAX_NESTING)).is_ok());
+        assert_eq!(
+            parse(&parens(2 * MAX_NESTING + 1)).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
+        assert_eq!(parse("p &").unwrap_err().kind, ParseErrorKind::Syntax);
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_on_a_small_stack() {
+        // Far past the limit, on a 2 MiB thread: refused, not overflowed.
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for src in [
+                    format!("{}p(a)", "~".repeat(8000)),
+                    format!("{}p(a){}", "(".repeat(8000), ")".repeat(8000)),
+                    format!("{}p(a)", "p -> ".repeat(8000)),
+                    vec!["p"; 100_000].join(" | "),
+                ] {
+                    let e = parse(&src).unwrap_err();
+                    assert_eq!(e.kind, ParseErrorKind::TooDeep, "{e}");
+                }
+            })
+            .unwrap();
+        run.join().unwrap();
     }
 
     #[test]

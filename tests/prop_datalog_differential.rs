@@ -17,6 +17,7 @@
 
 use epilog::core::{prover_for, EpistemicDb, ModelUpdate};
 use epilog::datalog::{EvalOptions, EvalStats, PlannerMode, Program, RulePlan};
+use epilog::storage::Database;
 use epilog::syntax::parse;
 use proptest::prelude::*;
 
@@ -64,8 +65,8 @@ fn program_text() -> impl Strategy<Value = String> {
 
 /// Like [`program_text`] but drawn from the negation-free rules only, so
 /// every sample is a definite program eligible for the resumed fixpoint
-/// (`eval_incremental_with` falls back to full evaluation under
-/// negation, which would defeat the stale-vs-recosted comparison).
+/// (`Program::maintain` falls back to full evaluation under negation,
+/// which would defeat the stale-vs-recosted comparison).
 fn definite_program_text() -> impl Strategy<Value = String> {
     const DEFINITE: [usize; 6] = [0, 1, 2, 3, 6, 7];
     (
@@ -273,21 +274,14 @@ proptest! {
         let new_facts = Program::from_text(&facts_src).unwrap().edb;
         let (oracle, _) = grown.eval().unwrap();
 
-        let stale: Vec<RulePlan> = grown
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
-        let fresh: Vec<RulePlan> = grown
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&oracle)))
-            .collect();
+        let stale = grown.compile_plans(Some(&model));
+        let fresh = grown.compile_plans(Some(&oracle));
+        let none = Database::new();
         let (stale_db, stale_stats) = grown
-            .eval_incremental_with(&stale, model.clone(), &new_facts)
+            .maintain(&stale, model.clone(), &none, &new_facts, None)
             .unwrap();
         let (fresh_db, fresh_stats) = grown
-            .eval_incremental_with(&fresh, model, &new_facts)
+            .maintain(&fresh, model, &none, &new_facts, None)
             .unwrap();
         prop_assert_eq!(&stale_db, &fresh_db, "stale vs re-costed on:\n{}", grown_src);
         prop_assert_eq!(&stale_db, &oracle, "resume vs oracle on:\n{}", grown_src);

@@ -6,7 +6,7 @@
 
 use epilog::core::EpistemicDb;
 use epilog::datalog::provenance::params_of;
-use epilog::datalog::{EvalOptions, EvalStats, Program, RulePlan, SupportTable};
+use epilog::datalog::{EvalOptions, EvalStats, Program, SupportTable};
 use epilog::syntax::parse;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -139,16 +139,18 @@ proptest! {
     }
 
     /// Support-accelerated DRed is a pure performance knob: on a random
-    /// retraction it produces the identical final model with identical
+    /// mixed batch — a retraction plus fresh edges, maintained in one
+    /// pass — it produces the identical final model with identical
     /// `tuples_rederived`, never runs *more* re-derivation probes than
     /// the probe-only path, and leaves the table holding exactly the
-    /// surviving model's supports.
+    /// post-batch model's supports.
     #[test]
     fn dred_with_supports_matches_without(
         edges in proptest::collection::vec((0..PARAMS, 0..PARAMS), 1..10),
         units in proptest::collection::vec(0..PARAMS, 0..5),
         mask in 1u8..64,
         remove_mask in 1u16..1024,
+        extra in proptest::collection::vec((0..PARAMS, 0..PARAMS), 0..4),
     ) {
         let edges: Vec<(usize, usize)> = edges
             .into_iter()
@@ -161,9 +163,16 @@ proptest! {
             .filter(|(i, _)| remove_mask & (1 << (i % 10)) != 0)
             .map(|(_, e)| *e)
             .collect();
+        let added: Vec<(usize, usize)> = extra
+            .into_iter()
+            .filter(|e| !edges.contains(e))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
         let kept: Vec<(usize, usize)> = edges
             .iter()
             .filter(|e| !removed.contains(e))
+            .chain(&added)
             .copied()
             .collect();
         let rules = || {
@@ -175,28 +184,27 @@ proptest! {
         };
         let full = Program::from_text(&facts_and_rules(&edges, &units, rules())).unwrap();
         let post = Program::from_text(&facts_and_rules(&kept, &units, rules())).unwrap();
-        let removed_facts = Program::from_text(&facts_and_rules(&removed, &[], [].into_iter()))
-            .unwrap()
-            .edb;
+        let facts = |es: &[(usize, usize)]| {
+            Program::from_text(&facts_and_rules(es, &[], [].into_iter()))
+                .unwrap()
+                .edb
+        };
+        let (removed_facts, added_facts) = (facts(&removed), facts(&added));
 
         let mut table = SupportTable::new();
         let (model, _) = full.eval_traced(EvalOptions::default(), &mut table).unwrap();
-        let plans: Vec<RulePlan> = post
-            .rules
-            .iter()
-            .map(|r| RulePlan::compile_with_stats(r, Some(&model)))
-            .collect();
+        let plans = post.compile_plans(Some(&model));
 
         let (plain_db, plain) = post
-            .eval_decremental_with(&plans, model.clone(), &removed_facts)
+            .maintain(&plans, model.clone(), &removed_facts, &added_facts, None)
             .unwrap();
         let (traced_db, traced) = post
-            .eval_decremental_traced(&plans, model, &removed_facts, &mut table)
+            .maintain(&plans, model, &removed_facts, &added_facts, Some(&mut table))
             .unwrap();
         let (oracle, _) = post.eval().unwrap();
 
         prop_assert_eq!(&traced_db, &plain_db, "supports changed the DRed result");
-        prop_assert_eq!(&traced_db, &oracle, "DRed differs from the from-scratch oracle");
+        prop_assert_eq!(&traced_db, &oracle, "maintain differs from the from-scratch oracle");
         prop_assert_eq!(traced.tuples_rederived, plain.tuples_rederived);
         prop_assert!(
             traced.support_checks <= plain.support_checks,
@@ -204,9 +212,23 @@ proptest! {
             traced.support_checks,
             plain.support_checks
         );
-        prop_assert_eq!(
-            traced.support_hits + traced.support_checks,
-            plain.support_checks,
+        // A hit skips every probe the probe-only path runs for its tuple
+        // — at least one, at most one per rule deriving its predicate
+        // (the probe-only path stops at the first rule that succeeds,
+        // which need not be the first it tries).
+        let max_alternatives = post
+            .rules
+            .iter()
+            .map(|r| post.rules.iter().filter(|s| s.head.pred == r.head.pred).count())
+            .max()
+            .unwrap_or(0) as u64;
+        prop_assert!(
+            traced.support_hits + traced.support_checks <= plain.support_checks,
+            "every support hit must save a probe"
+        );
+        prop_assert!(
+            plain.support_checks
+                <= traced.support_checks + max_alternatives * traced.support_hits,
             "every saved probe must be a support hit"
         );
         prop_assert!(
@@ -263,4 +285,54 @@ proptest! {
             }
         }
     }
+}
+
+/// Why `dred_with_supports_matches_without` bounds the probes saved by
+/// support hits instead of equating them: in this retract-only batch a
+/// hit skips two probes of the probe-only path (its first candidate
+/// rule fails, the second succeeds), so hits and probes together fall
+/// short of the untraced probe count.
+#[test]
+fn a_support_hit_can_save_more_than_one_probe() {
+    let edges = [(0, 0), (0, 2), (1, 1), (1, 2), (1, 3), (2, 0), (3, 3)];
+    let removed = [(0, 0), (0, 2), (1, 1), (2, 0), (3, 3)];
+    let kept: Vec<(usize, usize)> = edges
+        .iter()
+        .filter(|e| !removed.contains(e))
+        .copied()
+        .collect();
+    // `DEFINITE` under rule mask 0b101111.
+    let rules = || [0, 1, 2, 3, 7].into_iter().map(|r| RULES[r]);
+    let full = Program::from_text(&facts_and_rules(&edges, &[0, 1], rules())).unwrap();
+    let post = Program::from_text(&facts_and_rules(&kept, &[0, 1], rules())).unwrap();
+    let facts = |es: &[(usize, usize)]| {
+        Program::from_text(&facts_and_rules(es, &[], [].into_iter()))
+            .unwrap()
+            .edb
+    };
+    let (removed_facts, no_facts) = (facts(&removed), facts(&[]));
+
+    let mut table = SupportTable::new();
+    let (model, _) = full
+        .eval_traced(EvalOptions::default(), &mut table)
+        .unwrap();
+    let plans = post.compile_plans(Some(&model));
+    let (plain_db, plain) = post
+        .maintain(&plans, model.clone(), &removed_facts, &no_facts, None)
+        .unwrap();
+    let (traced_db, traced) = post
+        .maintain(&plans, model, &removed_facts, &no_facts, Some(&mut table))
+        .unwrap();
+    assert_eq!(traced_db, plain_db);
+    assert_eq!(traced_db, post.eval().unwrap().0);
+    // Two rules derive `reach` and two derive `q`.
+    let max_alternatives = 2;
+    assert!(
+        traced.support_hits + traced.support_checks < plain.support_checks,
+        "hits {} + checks {} vs untraced {}",
+        traced.support_hits,
+        traced.support_checks,
+        plain.support_checks
+    );
+    assert!(plain.support_checks <= traced.support_checks + max_alternatives * traced.support_hits);
 }
